@@ -1,8 +1,6 @@
 //! Determinism sweep over worker counts: the Table I (small scale) numbers
 //! must be byte-identical for every worker count, and must match the
-//! committed golden `tests/golden/table1_small.txt`. This is the in-process
-//! half of the contract the CI `sequential` job checks across *builds*
-//! (default/parallel vs `--no-default-features`): parallelism is a
+//! committed golden `tests/golden/table1_small.txt`: parallelism is a
 //! scheduling decision, never an observable one.
 
 use sfq_bench::{format_table, run_row_with, Scale};

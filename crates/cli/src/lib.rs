@@ -140,9 +140,10 @@ SUBCOMMANDS:
             as a FAILED(reason) row while the rest continue (--keep-going,
             the default) or the batch stops at the first failure
             (--fail-fast); any failure makes the exit code 2.
-            --workers N caps the worker threads the flow's parallel
-            fan-outs use (default: SFQ_WORKERS if set, else all host
-            cores; results are byte-identical for every worker count).
+            --workers N sizes the --batch fan-out: how many designs run
+            at once, one thread each (default: SFQ_WORKERS if set, else
+            all host cores; results are byte-identical for every worker
+            count). A single design always runs on one thread.
             --daemon SOCKET serves the flow through a running sfqt1d
             instead of computing locally: batches submit designs by path,
             a single <input> is submitted inline, and result rows stream
@@ -179,7 +180,7 @@ SUBCOMMANDS:
 /// # Errors
 /// [`CliError::Usage`] for invocation mistakes (exit code 2 in `main`),
 /// other [`CliError`] variants for I/O, parse and flow failures.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub fn run(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err(CliError::Usage(USAGE.to_string()));
     };
@@ -260,8 +261,8 @@ fn flow_config(a: &Args) -> Result<FlowConfig, CliError> {
     Ok(config)
 }
 
-/// Applies `--workers N`: a per-invocation override of the worker-thread
-/// count the parallel fan-outs use, equivalent to `SFQ_WORKERS` without the
+/// Applies `--workers N`: a per-invocation override of the batch fan-out's
+/// worker-thread count, equivalent to `SFQ_WORKERS` without the
 /// environment variable. Rejected together with `--daemon` — the flow then
 /// runs in the daemon's process, whose count is fixed at `sfqt1d` startup
 /// (`sfqt1d --workers N`).
@@ -324,7 +325,7 @@ fn random_waves(inputs: usize, count: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-fn write_report(out: &mut dyn Write, res: &FlowResult) -> Result<(), CliError> {
+fn write_report(out: &mut (dyn Write + Send), res: &FlowResult) -> Result<(), CliError> {
     let r = &res.report;
     writeln!(out, "design       {}", r.name).map_err(io_err("<stdout>"))?;
     writeln!(out, "phases       {}", r.phases).map_err(io_err("<stdout>"))?;
@@ -337,7 +338,7 @@ fn write_report(out: &mut dyn Write, res: &FlowResult) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_flow(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_flow(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(
         argv,
         &[
@@ -504,13 +505,12 @@ fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
 /// [`par::workers`](sfq_netlist::par::workers) scoped threads, and each row
 /// **prints as soon as it is unblocked, in input order** — the first rows of
 /// a long batch appear while later designs still run, and the table stays
-/// byte-identical between sequential and parallel builds for any worker
-/// count (failure reasons are deterministic strings).
+/// byte-identical for any worker count (failure reasons are deterministic
+/// strings).
 ///
 /// Containment policy (owned by the engine): a design that fails —
 /// unparseable, flow error, panic, deadline or node-budget abort — renders
-/// as a `FAILED(<reason>)` row, and a panicked design is retried once
-/// sequentially before being declared dead. Under `--keep-going` (default)
+/// as a `FAILED(<reason>)` row. Under `--keep-going` (default)
 /// every design runs; `--fail-fast` stops the output at the first failed
 /// row. Either way the run ends with a `batch summary:` line, and any
 /// failure surfaces as [`CliError::Partial`] (exit code 2).
@@ -518,7 +518,7 @@ fn cmd_flow_batch(
     dir: &str,
     config: &FlowConfig,
     opts: &BatchOptions,
-    out: &mut dyn Write,
+    out: &mut (dyn Write + Send),
 ) -> Result<(), CliError> {
     let (entries, cache_hits) = load_batch_designs(dir)?;
     writeln!(
@@ -537,54 +537,9 @@ fn cmd_flow_batch(
             design: design.map_err(|e| e.to_string()),
         })
         .collect();
-    // The engine emits rows from worker threads; `out` is not `Send`, so
-    // rows cross back over a channel and print on this thread — still one
-    // row at a time, as each finishes.
-    let (tx, rx) = std::sync::mpsc::channel::<JobRow>();
-    let (mut ok, mut failed) = (0usize, 0usize);
-    let mut stopped = false;
-    let mut write_err: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            run_jobs_streamed(&jobs, config, &opts.limits, |row| {
-                // A dropped receiver (fail-fast caller gone) is harmless:
-                // remaining rows are computed and discarded.
-                let _ = tx.send(row);
-            });
-        });
-        for row in rx {
-            if stopped || write_err.is_some() {
-                continue; // keep draining; the jobs ran either way
-            }
-            if let Err(e) = writeln!(out, "{}", row.line) {
-                write_err = Some(e);
-                continue;
-            }
-            if row.is_ok() {
-                ok += 1;
-            } else {
-                failed += 1;
-                if opts.fail_fast {
-                    if let Err(e) = writeln!(out, "batch: stopping at first failure (--fail-fast)")
-                    {
-                        write_err = Some(e);
-                    }
-                    stopped = true;
-                }
-            }
-        }
-    });
-    if let Some(source) = write_err {
-        return Err(CliError::Io {
-            path: "<stdout>".to_string(),
-            source,
-        });
-    }
-    writeln!(out, "batch summary: {ok} ok, {failed} failed").map_err(io_err("<stdout>"))?;
-    if failed > 0 {
-        return Err(CliError::Partial { ok, failed });
-    }
-    Ok(())
+    let mut printer = BatchPrinter::new(out, opts.fail_fast);
+    run_jobs_streamed(&jobs, config, &opts.limits, |row| printer.row(&row));
+    printer.finish()
 }
 
 /// `sfqt1 flow --batch <dir> --daemon <socket>`: the same batch, served by
@@ -595,7 +550,7 @@ fn cmd_flow_batch_daemon(
     dir: &str,
     sock: &str,
     options: DaemonFlowOptions,
-    out: &mut dyn Write,
+    out: &mut (dyn Write + Send),
 ) -> Result<(), CliError> {
     let paths = sfq_netlist::design::list_dir(Path::new(dir)).map_err(|e| match e {
         DesignError::Io { path, source } => CliError::Io { path, source },
@@ -637,7 +592,7 @@ fn cmd_flow_single_daemon(
     path: &str,
     sock: &str,
     options: DaemonFlowOptions,
-    out: &mut dyn Write,
+    out: &mut (dyn Write + Send),
 ) -> Result<(), CliError> {
     let ext = Path::new(path)
         .extension()
@@ -672,7 +627,7 @@ fn cmd_flow_single_daemon(
 fn stream_daemon_flow(
     sock: &str,
     request: FlowRequest,
-    out: &mut dyn Write,
+    out: &mut (dyn Write + Send),
 ) -> Result<(), CliError> {
     let mut write_err: Option<std::io::Error> = None;
     let (ok, failed) = sfq_server::client::flow(Path::new(sock), &request, |_, row| {
@@ -734,7 +689,7 @@ fn verify_options(a: &Args) -> Result<VerifyOptions, CliError> {
 /// equivalence sweep against the original AIG (mismatches shrunk to a
 /// minimal stimulus) and Monte-Carlo margin analysis. Single-design,
 /// `--batch` and `--daemon` forms mirror `sfqt1 flow`.
-fn cmd_verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_verify(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(
         argv,
         &[
@@ -862,7 +817,7 @@ fn cmd_verify_batch(
     config: &FlowConfig,
     vopts: &VerifyOptions,
     opts: &BatchOptions,
-    out: &mut dyn Write,
+    out: &mut (dyn Write + Send),
 ) -> Result<(), CliError> {
     let (entries, cache_hits) = load_batch_designs(dir)?;
     writeln!(
@@ -881,54 +836,82 @@ fn cmd_verify_batch(
             design: design.map_err(|e| e.to_string()),
         })
         .collect();
-    let (tx, rx) = std::sync::mpsc::channel::<JobRow>();
-    let (mut ok, mut failed) = (0usize, 0usize);
-    let mut stopped = false;
-    let mut write_err: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            run_verify_jobs_streamed(&jobs, config, &opts.limits, vopts, |row| {
-                let _ = tx.send(row);
-            });
-        });
-        for row in rx {
-            if stopped || write_err.is_some() {
-                continue; // keep draining; the jobs ran either way
-            }
-            if let Err(e) = writeln!(out, "{}", row.line) {
-                write_err = Some(e);
-                continue;
-            }
-            if row.is_ok() {
-                ok += 1;
-            } else {
-                failed += 1;
-                if opts.fail_fast {
-                    if let Err(e) = writeln!(out, "batch: stopping at first failure (--fail-fast)")
-                    {
-                        write_err = Some(e);
-                    }
-                    stopped = true;
+    let mut printer = BatchPrinter::new(out, opts.fail_fast);
+    run_verify_jobs_streamed(&jobs, config, &opts.limits, vopts, |row| printer.row(&row));
+    printer.finish()
+}
+
+/// Prints a local batch's rows as the job engine emits them (in input
+/// order, from whichever worker unblocked them), counts them, and applies
+/// `--fail-fast`: after the first failed row the rest are computed but not
+/// printed. A write error stops the printing and surfaces in [`finish`].
+///
+/// [`finish`]: BatchPrinter::finish
+struct BatchPrinter<'a> {
+    out: &'a mut (dyn Write + Send),
+    fail_fast: bool,
+    ok: usize,
+    failed: usize,
+    stopped: bool,
+    write_err: Option<std::io::Error>,
+}
+
+impl<'a> BatchPrinter<'a> {
+    fn new(out: &'a mut (dyn Write + Send), fail_fast: bool) -> Self {
+        BatchPrinter {
+            out,
+            fail_fast,
+            ok: 0,
+            failed: 0,
+            stopped: false,
+            write_err: None,
+        }
+    }
+
+    fn row(&mut self, row: &JobRow) {
+        if self.stopped || self.write_err.is_some() {
+            return; // the jobs run either way
+        }
+        if let Err(e) = writeln!(self.out, "{}", row.line) {
+            self.write_err = Some(e);
+            return;
+        }
+        if row.is_ok() {
+            self.ok += 1;
+        } else {
+            self.failed += 1;
+            if self.fail_fast {
+                if let Err(e) = writeln!(self.out, "batch: stopping at first failure (--fail-fast)")
+                {
+                    self.write_err = Some(e);
                 }
+                self.stopped = true;
             }
         }
-    });
-    if let Some(source) = write_err {
-        return Err(CliError::Io {
-            path: "<stdout>".to_string(),
-            source,
-        });
     }
-    writeln!(out, "batch summary: {ok} ok, {failed} failed").map_err(io_err("<stdout>"))?;
-    if failed > 0 {
-        return Err(CliError::Partial { ok, failed });
+
+    /// Prints the `batch summary:` line; any failed row maps to
+    /// [`CliError::Partial`].
+    fn finish(self) -> Result<(), CliError> {
+        if let Some(source) = self.write_err {
+            return Err(CliError::Io {
+                path: "<stdout>".to_string(),
+                source,
+            });
+        }
+        let (ok, failed) = (self.ok, self.failed);
+        writeln!(self.out, "batch summary: {ok} ok, {failed} failed")
+            .map_err(io_err("<stdout>"))?;
+        if failed > 0 {
+            return Err(CliError::Partial { ok, failed });
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// `sfqt1 daemon <ping|stats|stop> <socket>`: control-plane requests
 /// against a running `sfqt1d`.
-fn cmd_daemon(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_daemon(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(argv, &[], &[])?;
     let action = a
         .positional(0)
@@ -974,7 +957,7 @@ fn build_bench(name: &str, small: bool) -> Option<Aig> {
     None
 }
 
-fn cmd_bench(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_bench(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(argv, &["aag", "blif"], &["small"])?;
     let name = a
         .positional(0)
@@ -1008,7 +991,7 @@ fn cmd_bench(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_list(out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_bench_list(out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     writeln!(out, "Table I benchmarks:").map_err(io_err("<stdout>"))?;
     for b in Benchmark::ALL {
         writeln!(out, "  {}", b.name()).map_err(io_err("<stdout>"))?;
@@ -1020,7 +1003,7 @@ fn cmd_bench_list(out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_energy(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_energy(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(
         argv,
         &["phases", "engine", "gain-threshold", "waves"],
@@ -1054,7 +1037,7 @@ fn cmd_energy(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_margin(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_margin(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(
         argv,
         &[
@@ -1101,7 +1084,7 @@ fn cmd_margin(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_convert(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_convert(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(argv, &["aag", "blif", "dot", "verilog"], &[])?;
     let path = a
         .positional(0)
@@ -1140,7 +1123,7 @@ fn cmd_convert(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `sfqt1 table <input>` — the Table I protocol (1φ / 4φ / T1) on one file.
-fn cmd_table(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_table(argv: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let a = Args::parse(argv, &["phases", "engine", "gain-threshold"], &[])?;
     let path = a
         .positional(0)
@@ -1202,7 +1185,6 @@ fn cmd_table(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "parallel")]
     use sfq_netlist::par;
     use std::path::PathBuf;
 
@@ -1650,10 +1632,8 @@ mod tests {
 
     /// Worker-forcing tests share the process-global override; serialize
     /// them so a concurrent test never observes a half-forced state.
-    #[cfg(feature = "parallel")]
     static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn batch_output_is_identical_sequential_and_parallel() {
         let dir = scratch("batch-seqpar");
@@ -1686,7 +1666,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn workers_flag_forces_the_count_and_rejects_bad_values() {
         let aag = scratch("workersflag.aag");
@@ -1697,9 +1676,9 @@ mod tests {
         let baseline = run_to_string(&["flow", aag_s, "--t1"]).expect("flow");
         let forced = run_to_string(&["flow", aag_s, "--t1", "--workers", "3"]).expect("flow");
         assert_eq!(par::workers(), 3, "--workers installs the override");
-        par::force_workers(0);
         assert_eq!(baseline, forced, "report is worker-count independent");
 
+        par::force_workers(5);
         for args in [
             vec!["flow", aag_s, "--workers", "0"],
             vec!["flow", aag_s, "--workers", "three"],
@@ -1712,10 +1691,11 @@ mod tests {
             );
         }
         assert_eq!(
-            par::forced_workers(),
-            0,
+            par::workers(),
+            5,
             "rejected --workers values must not install an override"
         );
+        par::force_workers(0);
         std::fs::remove_file(aag).ok();
     }
 
@@ -1743,8 +1723,6 @@ mod tests {
             "only the broken file fails the clean run: {clean_res:?}"
         );
 
-        // Unlimited arming: the sequential retry of a panicked design must
-        // hit the same fault again, keeping parallel output identical.
         arm("flow.detect", Some("poison_a"), FaultAction::Panic);
         arm("flow.phase", Some("poison_b"), FaultAction::Delay(60_000));
         let (poison_res, poison_text) =

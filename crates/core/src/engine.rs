@@ -45,10 +45,7 @@
 //! `restarts − 1` deterministically perturbed ASAP seeds (restart `r` jitters
 //! each clocked cell's ASAP stage by an xorshift stream seeded by `r` alone),
 //! and keeps the state with the lexicographically smallest
-//! `(total cost, restart index)`. Restart results are independent of the
-//! worker partition, so the fan-out over
-//! [`sfq_netlist::par::workers`] under `--features parallel` is bit-identical
-//! to the sequential loop — and restart count 1 is bit-identical to the
+//! `(total cost, restart index)`. Restart count 1 is bit-identical to the
 //! single-descent reference.
 
 use crate::chains::{chain_cost_sorted, plan_chain, ChainDemand};
@@ -475,8 +472,8 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
             if !kind.is_clocked() {
                 continue;
             }
-            // Supervised-flow budget check; a thread-local no-op on restart
-            // workers and whenever no budget is installed.
+            // Supervised-flow budget check; a thread-local no-op whenever
+            // no budget is installed.
             sfq_netlist::budget::tick(1);
             let current = state.stages[id.0 as usize];
             let lo = clocked_lower_bound(net, &state.stages, id);
@@ -724,9 +721,8 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// ASAP stages with a deterministic per-cell jitter of `0..=n` extra stages,
 /// computed in topological order so every seed is feasible by construction.
-/// The jitter stream depends only on the restart index — never on worker
-/// count or scheduling — which is what makes the multi-restart fan-out
-/// bit-identical across hosts.
+/// The jitter stream depends only on the restart index, so a restart's seed
+/// is the same on every host.
 fn perturbed_asap(core: &EngineCore<'_>, restart: u64) -> Vec<u32> {
     let mut rng = restart
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -873,73 +869,23 @@ impl<'a> TimingEngine<'a> {
     /// Multi-restart descent: restart 0 descends from the current state;
     /// restarts `1..restarts` descend from deterministically perturbed ASAP
     /// seeds. Keeps the state with the smallest `(total cost, restart
-    /// index)`. With the `parallel` feature the extra restarts fan over
-    /// [`sfq_netlist::par::workers`]; the result is bit-identical to the
-    /// sequential loop for any worker count. `restarts ≤ 1` is exactly
-    /// [`TimingEngine::descend`].
+    /// index)`. `restarts ≤ 1` is exactly [`TimingEngine::descend`].
     pub fn optimize(&mut self, restarts: usize) {
-        let r = restarts.max(1);
-        if r == 1 {
-            self.descend();
+        self.descend();
+        if restarts <= 1 {
             return;
         }
-        self.ensure_index();
         let core = &self.core;
-        let state = &mut self.state;
-        let run_restart = |i: u64| -> (usize, EngineState) {
+        // Best by (cost, restart index); restart 0 (the unperturbed
+        // descent, now in `self.state`) wins all ties.
+        let mut best_cost = state_total_cost(core, &mut self.state);
+        let mut winner: Option<EngineState> = None;
+        for i in 1..restarts as u64 {
             let stages = perturbed_asap(core, i);
             let mut st = EngineState::new(core, stages, None)
                 .expect("perturbed ASAP seeds are feasible by construction");
             descend(core, &mut st);
             let cost = state_total_cost(core, &mut st);
-            (cost, st)
-        };
-        let extra = (r - 1) as u64;
-        let workers = sfq_netlist::par::workers().min(extra as usize);
-        let mut results: Vec<(usize, EngineState)> = Vec::with_capacity(extra as usize);
-        if workers > 1 {
-            // Contiguous index chunks per worker, concatenated in chunk
-            // order: the merge sees restarts in index order regardless of
-            // the partition. Restart 0 (the unperturbed descent of the
-            // current state) runs on this thread, overlapped with the
-            // fan-out rather than serialized ahead of it.
-            let chunk = (extra as usize).div_ceil(workers) as u64;
-            let bounds: Vec<(u64, u64)> = (0..workers as u64)
-                .map(|w| (1 + w * chunk, (1 + (w + 1) * chunk).min(extra + 1)))
-                .filter(|(lo, hi)| lo < hi)
-                .collect();
-            let parts: Vec<Vec<(usize, EngineState)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let run = &run_restart;
-                        scope.spawn(move || (lo..hi).map(run).collect::<Vec<_>>())
-                    })
-                    .collect();
-                descend(core, state);
-                handles
-                    .into_iter()
-                    // Preserve worker panic payloads for the supervisor.
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            });
-            for part in parts {
-                results.extend(part);
-            }
-        } else {
-            descend(core, state);
-            for i in 1..=extra {
-                results.push(run_restart(i));
-            }
-        }
-        // Best by (cost, restart index); restart 0 (the unperturbed
-        // descent, now in `self.state`) wins all ties.
-        let mut best_cost = state_total_cost(core, state);
-        let mut winner: Option<EngineState> = None;
-        for (cost, st) in results {
             if cost < best_cost {
                 best_cost = cost;
                 winner = Some(st);

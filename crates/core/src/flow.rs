@@ -37,15 +37,11 @@ pub struct FlowConfig {
     /// Number of 64-vector random pattern words for the equivalence check
     /// (0 disables the check).
     pub equivalence_words: usize,
-    /// Phase-assignment descent restarts (heuristic paths only). The
-    /// default is `sfq_netlist::par::workers()` — idle cores become extra
-    /// deterministically perturbed restarts merged by `(cost, index)`, so
-    /// the result is never worse than (and independent of the worker count
-    /// relative to) `restarts: 1`, which remains reachable via config —
-    /// see [`TimingEngine::optimize`]. Restart 0 is the unperturbed plain
-    /// descent, so any restart count ≥ 1 dominates the single-descent cost.
-    /// On sequential builds `workers()` is 1 and this stays the single
-    /// ASAP descent.
+    /// Phase-assignment descent restarts (heuristic paths only; see
+    /// [`TimingEngine::optimize`]). The default is `1`, the single ASAP
+    /// descent, so a flow's result never depends on the host: extra
+    /// perturbed restarts left DFFs and area unchanged on every Table I
+    /// and corpus configuration at φ1–8, 4φ and T1.
     pub restarts: usize,
 }
 
@@ -60,7 +56,7 @@ impl FlowConfig {
             cut_config: CutConfig::default(),
             gain_threshold: 0,
             equivalence_words: 4,
-            restarts: sfq_netlist::par::workers(),
+            restarts: 1,
         }
     }
 

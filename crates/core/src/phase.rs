@@ -656,10 +656,7 @@ pub fn assign_phases(
 /// [`assign_phases`] with deterministic multi-restart descent: restart 0 is
 /// the plain ASAP descent (so `restarts == 1` is exactly [`assign_phases`]);
 /// restarts `1..` descend from deterministically perturbed ASAP seeds, and
-/// the smallest `(DFF cost, restart index)` wins. Under `--features
-/// parallel` the extra restarts fan over [`sfq_netlist::par::workers`] with
-/// a bit-identical merge, so the result never depends on the worker count.
-/// Restarts apply to the heuristic paths; the exact MILP paths ignore them
+/// the smallest `(DFF cost, restart index)` wins. Restarts apply to the heuristic paths; the exact MILP paths ignore them
 /// (their warm start stays the single-descent incumbent).
 ///
 /// # Errors

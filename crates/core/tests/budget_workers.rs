@@ -1,9 +1,8 @@
 //! Node-budget determinism across worker counts: budgets are thread-local
-//! and charged by the coordinating thread only (parallel workers' ticks
-//! are deliberate no-ops, and the cut frontier charges its whole network
-//! up front), so an `OverBudget` abort must be **identical** — same
-//! outcome class, same rendered reason, same point of refusal — whether
-//! the flow under supervision fans over 1, 4 or 8 workers.
+//! and a design's flow runs entirely on the supervising thread, so an
+//! `OverBudget` abort must be **identical** — same outcome class, same
+//! rendered reason, same point of refusal — whether 1, 4 or 8 batch
+//! workers are in force.
 //!
 //! Everything lives in one test fn: the worker override is process-global,
 //! and a single owner needs no locking against parallel test threads.

@@ -13,12 +13,10 @@
 //!
 //! Design points:
 //!
-//! * **Thread-local.** The budget lives in a thread-local slot, so ticks on
-//!   scoped worker threads (which never install one) are no-ops. All checks
-//!   therefore happen on the coordinating thread; the parallel fan-outs
-//!   bulk-[`tick`] the same unit totals their sequential bodies would, which
-//!   keeps the *node-ceiling* abort decision identical between sequential
-//!   and parallel builds.
+//! * **Thread-local.** The budget lives in a thread-local slot, installed on
+//!   the thread that runs one design's flow; every stage of that flow ticks
+//!   on the same thread, so the *node-ceiling* abort decision is identical
+//!   at every batch worker count.
 //! * **Cheap.** A tick is a thread-local read/write; the wall clock is only
 //!   consulted every [`CLOCK_CHECK_INTERVAL`] ticks (and at every
 //!   [`checkpoint`]), so per-node overhead in the hot loops stays in the

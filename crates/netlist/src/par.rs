@@ -1,15 +1,13 @@
-//! Worker-count policy for the feature-gated in-netlist parallelism.
+//! The workspace's one parallel fan-out: designs in a batch.
 //!
-//! The `parallel` cargo feature fans cut enumeration (and, one crate up,
-//! T1 detection's collection/scoring passes) over `std::thread::scope`
-//! workers. This module owns the one policy decision those fan-outs share:
-//! how many workers to use. Everything else — level scheduling, chunking,
-//! deterministic merges — lives next to the loops it parallelizes.
-//!
-//! Without the feature, [`workers`] is constantly `1`, and every fan-out
-//! site falls through to its sequential body; with the feature on a
-//! single-core host the same happens at runtime, so the parallel build is
-//! never slower than the sequential one.
+//! [`map_ordered`] and its caught/streamed variants fan the items of a
+//! batch (`sfqt1 flow --batch`, `sfqt1 verify --batch`, a daemon
+//! request's designs, the corpus and Table I harnesses) over `std::thread::scope`
+//! workers and hand results back in input order. Everything inside one
+//! design — cut enumeration, T1 detection, phase assignment, DFF insertion,
+//! margin trials — runs on the thread that claimed the design, so a batch
+//! never runs more than [`workers`] flow threads and a design's result never
+//! depends on the worker count.
 
 use crate::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,25 +29,16 @@ static FORCED: AtomicUsize = AtomicUsize::new(0);
 pub const MAX_WORKERS: usize = 64;
 
 /// Forces [`workers`] to return `n` for the rest of the process (`0`
-/// clears the override). Without the `parallel` feature the override is
-/// recorded but [`workers`] still returns `1`.
+/// clears the override).
 ///
-/// This is the in-process testing hook: the differential tests use it to
-/// exercise the parallel merges even on single-core hosts. It exists so
+/// This is the in-process testing hook: tests use it to exercise the
+/// batch fan-out's merges even on single-core hosts. It exists so
 /// tests never have to call `std::env::set_var` at runtime (a data race
 /// against concurrent `getenv` on POSIX); the `SFQ_WORKERS` environment
 /// variable serves the same purpose from *outside* the process, where it
 /// is inherited before any thread starts and read exactly once.
 pub fn force_workers(n: usize) {
     FORCED.store(n, Ordering::SeqCst);
-}
-
-/// The current [`force_workers`] override (`0` when none is installed).
-/// Lets callers that need a temporary override (e.g. the batch driver's
-/// sequential retry of a panicked design) save and restore the previous
-/// value instead of clobbering it.
-pub fn forced_workers() -> usize {
-    FORCED.load(Ordering::SeqCst)
 }
 
 /// Validates an `SFQ_WORKERS` value: a positive integer, capped at
@@ -67,114 +56,38 @@ pub fn parse_workers(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Number of scoped worker threads the in-netlist fan-outs may use.
-///
-/// With the `parallel` feature: the host's available parallelism
-/// (`std::thread::available_parallelism()`, which respects container CPU
-/// quotas and affinity masks), overridable by [`force_workers`] or the
-/// `SFQ_WORKERS` environment variable (read once, at first use; explicit
-/// overrides may exceed the host's core count up to [`MAX_WORKERS`], which
-/// is how single-core CI exercises the parallel merges). Without the
-/// feature: `1`.
+/// Number of scoped worker threads a batch fan-out may use: the host's
+/// available parallelism (`std::thread::available_parallelism()`, which
+/// respects container CPU quotas and affinity masks), overridable by
+/// [`force_workers`] or the `SFQ_WORKERS` environment variable (read once,
+/// at first use; explicit overrides may exceed the host's core count up to
+/// [`MAX_WORKERS`], which is how single-core CI exercises the merges).
 pub fn workers() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        let forced = FORCED.load(Ordering::SeqCst);
-        if forced != 0 {
-            return forced.clamp(1, MAX_WORKERS);
-        }
-        static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        if let Some(w) = *FROM_ENV.get_or_init(|| match std::env::var("SFQ_WORKERS") {
-            Err(_) => None,
-            Ok(v) => match parse_workers(&v) {
-                Ok(w) => Some(w),
-                Err(reason) => {
-                    // One-time by construction: the OnceLock initializer
-                    // runs exactly once per process.
-                    eprintln!(
-                        "warning: ignoring SFQ_WORKERS={v:?}: {reason}; \
-                         using the host's available parallelism"
-                    );
-                    None
-                }
-            },
-        }) {
-            return w;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let forced = FORCED.load(Ordering::SeqCst);
+    if forced != 0 {
+        return forced.clamp(1, MAX_WORKERS);
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
-
-/// Sorts `items` by `key` across up to [`workers`] scoped threads: the
-/// vector is split into one contiguous chunk per worker, each chunk is
-/// `sort_unstable_by_key`ed in place, and the sorted chunks are k-way
-/// merged (smallest key first, ties broken by chunk order, i.e. input
-/// order). Small inputs and single-worker configurations fall through to
-/// plain `sort_unstable_by_key` with no threads spawned.
-///
-/// **Determinism:** when no two elements have equal keys (a strict total
-/// order — e.g. a compound key ending in a unique index), the result is
-/// byte-identical to `slice::sort_unstable_by_key` for *every* worker
-/// count. With duplicate keys the order within a run of equals is as
-/// unspecified as `sort_unstable` itself — callers that need worker-count
-/// independence must provide deduplicating keys.
-pub fn sort_unstable_by_key<T, K, F>(items: &mut Vec<T>, key: F)
-where
-    T: Copy + Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    // A chunk must amortize its thread spawn; tiny sorts run inline.
-    const MIN_ITEMS: usize = 4096;
-    let n = items.len();
-    let w = workers().min(n / (MIN_ITEMS / 4));
-    if w < 2 || n < MIN_ITEMS {
-        items.sort_unstable_by_key(|t| key(t));
-        return;
-    }
-    let chunk = n.div_ceil(w);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [T] = items.as_mut_slice();
-        let mut handles = Vec::new();
-        while rest.len() > chunk {
-            let (head, tail) = rest.split_at_mut(chunk);
-            rest = tail;
-            let key = &key;
-            handles.push(sync::spawn_scoped(scope, move || {
-                head.sort_unstable_by_key(|t| key(t))
-            }));
-        }
-        // The coordinator sorts the final chunk instead of idling.
-        rest.sort_unstable_by_key(|t| key(t));
-        for h in handles {
-            h.join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
-    });
-    // Sequential k-way merge (k = worker count, so a linear scan over the
-    // chunk heads beats a heap). `T: Copy` keeps the element moves trivial.
-    let mut cursors: Vec<(usize, usize)> = (0..w)
-        .map(|c| (c * chunk, ((c + 1) * chunk).min(n)))
-        .collect();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    loop {
-        let mut best: Option<usize> = None;
-        for (c, &(lo, hi)) in cursors.iter().enumerate() {
-            if lo < hi && best.is_none_or(|b| key(&items[lo]) < key(&items[cursors[b].0])) {
-                best = Some(c);
+    static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    if let Some(w) = *FROM_ENV.get_or_init(|| match std::env::var("SFQ_WORKERS") {
+        Err(_) => None,
+        Ok(v) => match parse_workers(&v) {
+            Ok(w) => Some(w),
+            Err(reason) => {
+                // One-time by construction: the OnceLock initializer
+                // runs exactly once per process.
+                eprintln!(
+                    "warning: ignoring SFQ_WORKERS={v:?}: {reason}; \
+                     using the host's available parallelism"
+                );
+                None
             }
-        }
-        let Some(b) = best else { break };
-        out.push(items[cursors[b].0]);
-        cursors[b].0 += 1;
+        },
+    }) {
+        return w;
     }
-    *items = out;
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// A panic captured from one item of [`map_ordered_caught`]: the original
@@ -244,10 +157,9 @@ fn run_item<T, U>(k: usize, item: T, f: &(impl Fn(T) -> U + Sync)) -> Result<U, 
 /// This is the shared fan-out primitive of the batch drivers (`sfqt1 flow
 /// --batch`, the corpus table): items are claimed from an atomic cursor, so
 /// uneven per-item cost balances automatically, and the order-preserving
-/// merge keeps the observable output bit-identical between sequential and
-/// parallel builds. With one worker (no `parallel` feature, single-core
-/// host, or `SFQ_WORKERS=1`) it degenerates to a plain in-order map with no
-/// thread spawns.
+/// merge keeps the observable output bit-identical for every worker count.
+/// With one worker (single-core host or `SFQ_WORKERS=1`) it degenerates to
+/// a plain in-order map with no thread spawns.
 ///
 /// A panicking item no longer aborts its worker: every item runs to a
 /// result either way (see [`map_ordered_caught`]), and the panic of the

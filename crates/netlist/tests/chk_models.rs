@@ -1,4 +1,4 @@
-//! Exhaustive schedule exploration of the crate's parallel protocols,
+//! Exhaustive schedule exploration of the crate's parallel protocol,
 //! running the **production** code (not a copy) against the `chk` model
 //! checker's shims via `crate::sync`.
 //!
@@ -8,86 +8,13 @@
 //! cargo test --release -p sfq-netlist --features chk --test chk_models
 //! ```
 //!
-//! The models are deliberately tiny (a handful of cells / items, 2-3
-//! workers) so the DFS over schedules with the default preemption bound
-//! completes in seconds; the protocols themselves are the real
-//! [`sfq_netlist::cuts::enumerate_cuts_frontier`] and
-//! [`sfq_netlist::par::map_ordered_streamed`] bodies.
+//! The models are deliberately tiny (a handful of items, 2 workers) so the
+//! DFS over schedules with the default preemption bound completes in
+//! seconds; the protocol itself is the real
+//! [`sfq_netlist::par::map_ordered_streamed`] body.
 #![cfg(feature = "chk")]
 
-use sfq_netlist::cuts::{enumerate_cuts_frontier, enumerate_cuts_sequential, CutConfig};
 use sfq_netlist::par;
-use sfq_netlist::{map_aig, Aig, Library};
-
-/// A half adder: two inputs, an XOR and an AND cone — enough structure for
-/// a multi-level fanin countdown with shared fanins, small enough to
-/// explore exhaustively.
-fn half_adder_net() -> sfq_netlist::Network {
-    let mut aig = Aig::new("chk_half_adder");
-    let a = aig.input("a");
-    let b = aig.input("b");
-    let s = aig.xor(a, b);
-    let c = aig.and(a, b);
-    aig.output("sum", s);
-    aig.output("carry", c);
-    map_aig(&aig, &Library::default())
-}
-
-/// A single AND gate — the smallest net with a nonempty frontier, used
-/// where a third worker multiplies the schedule space.
-fn and_net() -> sfq_netlist::Network {
-    let mut aig = Aig::new("chk_and");
-    let a = aig.input("a");
-    let b = aig.input("b");
-    let c = aig.and(a, b);
-    aig.output("c", c);
-    map_aig(&aig, &Library::default())
-}
-
-/// The frontier scheduler (fanin countdown → claim → `OnceLock` publish →
-/// condvar notify) produces the sequential cut table under **every**
-/// schedule with up to two preemptions, and never deadlocks or double
-/// publishes.
-#[test]
-fn frontier_matches_sequential_under_all_schedules() {
-    let net = half_adder_net();
-    let config = CutConfig::default();
-    let golden = enumerate_cuts_sequential(&net, &config);
-    let report = chk::Model::new().preemptions(2).check(|| {
-        let got = enumerate_cuts_frontier(&net, &config, 2);
-        assert_eq!(got.total(), golden.total(), "total cut count");
-        for id in net.cell_ids() {
-            assert_eq!(got.of(id), golden.of(id), "cut set of c{}", id.0);
-        }
-    });
-    report.assert_ok("frontier vs sequential (2 workers)");
-    assert!(
-        report.executions > 10,
-        "exploration actually branched: {} executions",
-        report.executions
-    );
-}
-
-/// Drain/termination with more workers than the ready frontier can feed:
-/// surplus workers must park on the condvar and the last finished node must
-/// wake all of them — under every schedule, no worker is stranded and the
-/// scope joins.
-#[test]
-fn frontier_drains_and_terminates_with_three_workers() {
-    let net = and_net();
-    let config = CutConfig::default();
-    let golden = enumerate_cuts_sequential(&net, &config);
-    let report = chk::Model::new().preemptions(2).check(|| {
-        let got = enumerate_cuts_frontier(&net, &config, 3);
-        assert_eq!(got.total(), golden.total(), "total cut count");
-    });
-    report.assert_ok("frontier drain/termination (3 workers)");
-    assert!(
-        report.executions > 10,
-        "exploration actually branched: {} executions",
-        report.executions
-    );
-}
 
 /// `map_ordered_streamed` emits the contiguous prefix in input order under
 /// every out-of-order completion schedule: whichever worker finishes the

@@ -23,14 +23,9 @@
 //! The sampler is a deterministic xorshift* + Box–Muller transform, so every
 //! report is reproducible from its seed without external dependencies.
 //! Every trial draws from its **own** stream, derived from
-//! `(config seed, trial index)` by a splitmix64 step — so the report is
-//! identical however the trial range is partitioned, and the `parallel`
-//! cargo feature can fan trials out over `std::thread::scope` workers
-//! without changing a single sampled value (the registry is unreachable
-//! from this build environment, so the harness uses scoped threads rather
-//! than rayon). Per-trial minima are written into a preallocated slice and
-//! reduced in trial order, keeping even the floating-point accumulation
-//! order fixed.
+//! `(config seed, trial index)` by a splitmix64 step, so a trial's sample
+//! never depends on which trials ran before it. Trials are reduced in trial
+//! order, keeping even the floating-point accumulation order fixed.
 //!
 //! # Example
 //!
@@ -207,51 +202,6 @@ fn run_trial(
     (trial_min, trial_hazard)
 }
 
-/// Fills `out[t]` with trial `t`'s `(min separation, hazard)` result.
-#[cfg(not(feature = "parallel"))]
-fn run_trials(
-    t1_sites: &[(u32, Vec<u32>)],
-    spacing: f64,
-    cfg: &MarginConfig,
-    out: &mut [(f64, bool)],
-) {
-    for (t, slot) in out.iter_mut().enumerate() {
-        *slot = run_trial(t1_sites, spacing, cfg, t as u32);
-    }
-}
-
-/// Fills `out[t]` with trial `t`'s result, fanning contiguous chunks out
-/// over scoped worker threads. Every trial owns its RNG stream, so the
-/// results are identical to the sequential path bit for bit.
-#[cfg(feature = "parallel")]
-fn run_trials(
-    t1_sites: &[(u32, Vec<u32>)],
-    spacing: f64,
-    cfg: &MarginConfig,
-    out: &mut [(f64, bool)],
-) {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(out.len().max(1));
-    if workers <= 1 {
-        for (t, slot) in out.iter_mut().enumerate() {
-            *slot = run_trial(t1_sites, spacing, cfg, t as u32);
-        }
-        return;
-    }
-    let chunk = out.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slots) in out.chunks_mut(chunk).enumerate() {
-            let base = (w * chunk) as u32;
-            scope.spawn(move || {
-                for (t, slot) in slots.iter_mut().enumerate() {
-                    *slot = run_trial(t1_sites, spacing, cfg, base + t as u32);
-                }
-            });
-        }
-    });
-}
-
 /// Runs the Monte-Carlo margin analysis over every T1 cell of `timed`.
 ///
 /// # Panics
@@ -276,15 +226,12 @@ pub fn analyze_margins(timed: &TimedNetwork, cfg: &MarginConfig) -> MarginReport
         })
         .collect();
 
-    let mut results = vec![(f64::INFINITY, false); cfg.trials as usize];
-    run_trials(&t1_sites, spacing, cfg, &mut results);
-
-    // Reduce in trial order: the report (including the floating-point sum)
-    // is independent of how run_trials partitioned the work.
+    // Reduce in trial order, keeping the floating-point sum's order fixed.
     let mut hazardous_trials = 0u32;
     let mut worst = f64::INFINITY;
     let mut sum_min = 0.0f64;
-    for &(trial_min, trial_hazard) in &results {
+    for t in 0..cfg.trials {
+        let (trial_min, trial_hazard) = run_trial(&t1_sites, spacing, cfg, t);
         if trial_hazard {
             hazardous_trials += 1;
         }
