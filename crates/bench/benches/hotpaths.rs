@@ -2,16 +2,20 @@
 //! regression gates of the hot-path overhaul (see ISSUE 1 / ROADMAP):
 //!
 //! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects;
-//! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks.
+//! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks;
+//! * `milp/c7552_mini_auto` — the exact phase MILP `PhaseEngine::Auto` runs
+//!   on the corpus's `c7552_mini` (500 branch-and-bound nodes, the bulk of
+//!   a corpus `verify --batch`).
 //!
 //! The IDs deliberately match `substrates.rs` (`assign_phases/adder32_t1`,
 //! `enumerate_cuts/adder32`) so historical numbers stay comparable, with
 //! additional sizes to expose scaling behaviour rather than a single point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sfq_bench::corpus::corpus_dir;
 use sfq_circuits as circuits;
 use sfq_core::{assign_phases, detect_t1, insert_dffs, PhaseEngine};
-use sfq_netlist::{enumerate_cuts, map_aig, CutConfig, Library};
+use sfq_netlist::{enumerate_cuts, map_aig, CutConfig, Design, Library};
 
 fn bench_hotpaths(c: &mut Criterion) {
     let lib = Library::default();
@@ -80,6 +84,16 @@ fn bench_hotpaths(c: &mut Criterion) {
     let log2_asg = assign_phases(&log2_det, 4, PhaseEngine::Heuristic).expect("feasible");
     c.bench_function("insert_dffs/log2", |b| {
         b.iter(|| insert_dffs(&log2_det, &log2_asg, 4).expect("insertable"))
+    });
+
+    // The corpus design whose auto MILP hits the node limit: the subject is
+    // prepared as the T1 flow does (map, clean, detect) and phase assignment
+    // at 4 phases runs the descent seed plus the exact search.
+    let c7552 = Design::read(&corpus_dir().join("c7552_mini.aag")).expect("corpus design");
+    let (c7552, _) = map_aig(&c7552.aig, &lib).cleaned();
+    let c7552_det = detect_t1(&c7552, &lib, &cut_config).network;
+    c.bench_function("milp/c7552_mini_auto", |b| {
+        b.iter(|| assign_phases(&c7552_det, 4, PhaseEngine::Auto).expect("feasible"))
     });
 }
 

@@ -70,6 +70,8 @@
 
 use crate::chains::chain_cost_sorted;
 use sfq_netlist::{CellId, CellKind, Network, Signal, T1_NUM_PORTS};
+#[cfg(test)]
+use sfq_solver::MilpSolution;
 use sfq_solver::{Cmp, MilpProblem, SolverError};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -725,15 +727,25 @@ pub fn assign_phases_reference(
 pub(crate) const EXACT_NODE_LIMIT: usize = 200_000;
 
 /// Node budget of [`PhaseEngine::Auto`]'s bounded-effort exact runs:
-/// bounds any single phase assignment to ~1 s (each node re-solves an LP,
-/// ≈ 2 ms on 40-cell instances) while still closing small gaps over the
-/// heuristic incumbent — on the adder8 probe, 500 nodes keep the full
-/// n = 2 improvement (77 → 71 DFFs) found by the unbounded engine.
+/// bounds any single phase assignment to well under a second (each node
+/// re-solves an LP: ≈ 0.6 ms on the corpus's 32-cell `c7552_mini`, whose
+/// 500 nodes take ≈ 0.3 s in the `milp/c7552_mini_auto` criterion gate on
+/// a 2-core x86-64 VM) while still closing small gaps over the heuristic
+/// incumbent — on the adder8 probe, 500 nodes keep the full n = 2
+/// improvement (77 → 71 DFFs) found by the unbounded engine.
 pub(crate) const AUTO_NODE_LIMIT: usize = 500;
 
 // ======================================================================
 // Exact MILP engine
 // ======================================================================
+
+#[cfg(test)]
+thread_local! {
+    /// Every MILP the exact engine solved on this thread, with its solution:
+    /// the unit tests pin the search and replay its node LPs.
+    pub(crate) static SOLVED_MILPS: RefCell<Vec<(MilpProblem, MilpSolution)>> =
+        const { RefCell::new(Vec::new()) };
+}
 
 pub(crate) fn exact_assign(
     net: &Network,
@@ -887,7 +899,13 @@ pub(crate) fn exact_assign(
     debug_assert_eq!(ws.len(), p.num_vars(), "one warm-start value per variable");
     p.set_warm_start_pairs(&ws);
     p.set_node_limit(node_limit);
-    let sol = p.solve().map_err(PhaseError::Milp)?;
+    // One budget checkpoint per node: a supervised flow's deadline stops the
+    // search within one node LP instead of after the whole solve.
+    let sol = p
+        .solve_with(|_| sfq_netlist::budget::checkpoint())
+        .map_err(PhaseError::Milp)?;
+    #[cfg(test)]
+    SOLVED_MILPS.with(|s| s.borrow_mut().push((p.clone(), sol.clone())));
     let mut stages = vec![0u32; net.num_cells()];
     for (id, var) in &sigma {
         stages[id.0 as usize] = sol.int_value(*var) as u32;

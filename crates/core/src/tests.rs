@@ -933,3 +933,116 @@ mod supervision {
         );
     }
 }
+
+// ------------------------------------------------------------ exact MILP ----
+
+#[path = "../../solver/tests/dense_oracle/mod.rs"]
+mod dense_oracle;
+
+mod exact_milp {
+    use super::dense_oracle;
+    use crate::flow::{run_flow_on_design, FlowConfig};
+    use crate::phase::{assign_phases, PhaseEngine, SOLVED_MILPS};
+    use crate::supervise::{supervise_task, Limits, TaskOutcome};
+    use sfq_netlist::{Design, Library};
+    use sfq_solver::{MilpProblem, MilpSolution};
+    use std::path::PathBuf;
+    use std::time::{Duration, Instant};
+
+    fn corpus_file(name: &str) -> Design {
+        let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "bench", "corpus", name]
+            .iter()
+            .collect();
+        Design::read(&path).unwrap_or_else(|e| panic!("{name}: {e}"))
+    }
+
+    /// The MILPs the `auto` engine solves in the corpus T1 flow at 4
+    /// phases — the configuration of `sfqt1 verify`.
+    fn corpus_milps(name: &str) -> Vec<(MilpProblem, MilpSolution)> {
+        SOLVED_MILPS.with(|s| s.borrow_mut().clear());
+        run_flow_on_design(&corpus_file(name), &FlowConfig::t1(4))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        SOLVED_MILPS.with(|s| s.take())
+    }
+
+    /// (variables, constraints, nodes, pivots, objective) of one MILP.
+    type Search = (usize, usize, usize, usize, f64);
+
+    /// Per corpus design: the search of each auto MILP, as measured with the
+    /// dense-tableau solver. A different pivot path fails here before it
+    /// can move a golden; the node limit binds on `c7552_mini`, so its 500
+    /// nodes are the ones explored.
+    const PINS: [(&str, &[Search]); 7] = [
+        ("adder8.aag", &[]),
+        ("c7552_mini.aag", &[(95, 169, 500, 55_897, 11.0)]),
+        ("mult4.aag", &[]),
+        ("mux8.blif", &[(60, 92, 1, 39, 1.0)]),
+        ("parity12.aag", &[(35, 46, 11, 180, 10.0)]),
+        ("square4.blif", &[(68, 130, 17, 1_255, 5.0)]),
+        ("voter7.blif", &[(56, 84, 1, 49, 0.0)]),
+    ];
+
+    #[test]
+    fn corpus_milp_searches_are_pinned() {
+        for (name, pins) in PINS {
+            let got: Vec<_> = corpus_milps(name)
+                .iter()
+                .map(|(p, s)| {
+                    (
+                        p.num_vars(),
+                        p.num_constraints(),
+                        s.nodes,
+                        s.pivots,
+                        s.objective,
+                    )
+                })
+                .collect();
+            assert_eq!(got, pins, "{name}");
+        }
+    }
+
+    /// Every node LP of every corpus MILP, replayed: the tableau engine
+    /// matches the dense oracle bit for bit, and the oracle's pivots add up
+    /// to the MILP's count.
+    #[test]
+    fn corpus_node_lps_match_the_dense_oracle() {
+        for (name, _) in PINS {
+            for (milp, sol) in corpus_milps(name) {
+                let (mut nodes, mut pivots) = (0, 0);
+                let replay = milp
+                    .solve_with(|lp| {
+                        nodes += 1;
+                        pivots += dense_oracle::assert_matches(lp);
+                    })
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    replay.objective.to_bits(),
+                    sol.objective.to_bits(),
+                    "{name}"
+                );
+                assert_eq!(pivots, sol.pivots, "{name}: oracle pivots");
+                assert!(nodes > 0 && nodes <= sol.nodes, "{name}: {nodes} node LPs");
+            }
+        }
+    }
+
+    /// A deadline must stop the exact search itself, not wait for the next
+    /// flow stage: `c7552_mini` under `Exact` needs hundreds of node LPs,
+    /// and the deadline falls inside them.
+    #[test]
+    fn supervised_exact_run_times_out_promptly() {
+        let design = corpus_file("c7552_mini.aag");
+        let lib = Library::default();
+        let (mapped, _) = sfq_netlist::map_aig(&design.aig, &lib).cleaned();
+        let net = crate::detect::detect_t1(&mapped, &lib, &Default::default()).network;
+        let limits = Limits {
+            deadline: Some(Duration::from_millis(100)),
+            max_nodes: None,
+        };
+        let start = Instant::now();
+        let outcome = supervise_task(&limits, || assign_phases(&net, 4, PhaseEngine::Exact));
+        let elapsed = start.elapsed();
+        assert!(matches!(outcome, TaskOutcome::TimedOut), "{outcome:?}");
+        assert!(elapsed < Duration::from_secs(3), "took {elapsed:?}");
+    }
+}

@@ -7,7 +7,8 @@
 //!
 //! * [`MilpProblem`] — minimize a linear objective over continuous and
 //!   integer variables with linear constraints. Solved by branch & bound
-//!   over a dense two-phase primal [`simplex`] with Bland's rule.
+//!   over a two-phase primal [`simplex`] with Bland's rule, whose flat
+//!   tableau is re-solved in place at every node and pivots sparsely.
 //! * [`CpModel`] — bounded integer variables, linear constraints,
 //!   `all_different`, and branch-and-bound minimization with bounds
 //!   propagation.

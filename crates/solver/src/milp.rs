@@ -6,7 +6,7 @@
 //! optimally retimed DFF counts); scale is handled upstream by only sending
 //! compact formulations here.
 
-use crate::simplex::{Cmp, LpProblem, SolverError};
+use crate::simplex::{Cmp, LpProblem, SolverError, Tableau};
 
 /// Handle to a MILP variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,6 +33,8 @@ pub struct MilpSolution {
     pub status: MilpStatus,
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
+    /// Simplex pivots over all node LPs, infeasible ones included.
+    pub pivots: usize,
 }
 
 impl MilpSolution {
@@ -146,6 +148,11 @@ impl MilpProblem {
         self.integer.len()
     }
 
+    /// Number of constraints.
+    pub fn num_constraints(&self) -> usize {
+        self.lp.num_constraints()
+    }
+
     /// Name of a variable (diagnostics).
     pub fn name(&self, v: VarId) -> &str {
         &self.names[v.0]
@@ -158,6 +165,22 @@ impl MilpProblem {
     /// [`SolverError::Unbounded`] / [`SolverError::IterationLimit`] from the
     /// LP layer.
     pub fn solve(&self) -> Result<MilpSolution, SolverError> {
+        self.solve_with(|_| {})
+    }
+
+    /// [`solve`](Self::solve), calling `on_node` with each node's LP (this
+    /// problem's relaxation under the node's bounds) just before solving it.
+    ///
+    /// The hook is how a caller bounds or observes the search without this
+    /// crate knowing about it: a deadline check that unwinds stops the solve
+    /// within one node LP, and tests replay the node LPs against an oracle.
+    ///
+    /// # Errors
+    /// As [`solve`](Self::solve).
+    pub fn solve_with(
+        &self,
+        mut on_node: impl FnMut(&LpProblem),
+    ) -> Result<MilpSolution, SolverError> {
         #[derive(Clone)]
         struct Node {
             bounds: Vec<(f64, f64)>,
@@ -197,6 +220,8 @@ impl MilpProblem {
         }
         let mut nodes = 0usize;
         let mut hit_limit = false;
+        let mut lp = self.lp.clone();
+        let mut tableau = Tableau::new(&self.lp);
 
         while let Some(node) = stack.pop() {
             if nodes >= self.node_limit {
@@ -209,18 +234,14 @@ impl MilpProblem {
                     continue; // pruned by bound
                 }
             }
-            let mut lp = self.lp.clone();
+            if node.bounds.iter().any(|&(lb, ub)| lb > ub + INT_TOL) {
+                continue; // empty box
+            }
             for (v, &(lb, ub)) in node.bounds.iter().enumerate() {
-                if lb > ub + INT_TOL {
-                    // Empty box.
-                    continue;
-                }
                 lp.set_bounds(v, lb, ub);
             }
-            if node.bounds.iter().any(|&(lb, ub)| lb > ub + INT_TOL) {
-                continue;
-            }
-            let sol = match lp.solve() {
+            on_node(&lp);
+            let sol = match tableau.solve(&lp) {
                 Ok(s) => s,
                 Err(SolverError::Infeasible) => continue,
                 Err(e) => return Err(e),
@@ -304,6 +325,7 @@ impl MilpProblem {
                     MilpStatus::Optimal
                 },
                 nodes,
+                pivots: tableau.pivots(),
             }),
             None => {
                 if hit_limit {
